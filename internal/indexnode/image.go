@@ -10,14 +10,13 @@ import (
 	"propeller/internal/proto"
 )
 
-// This file defines the record-stream form of a group image: the chunked
-// wire format ACG transfers ship (MethodReceiveACGChunked) and the bytes
-// writeCheckpointLocked stores in shared storage. The image is a flat
-// sequence of self-framed records, so a sender can emit it in bounded
-// batches and a receiver can apply it incrementally from arbitrary chunk
-// boundaries — a multi-GB group never exists as one contiguous buffer on
-// either side. Legacy gob images (pre-record checkpoints) are recognized
-// by their first byte and decoded through the old path.
+// This file defines the one byte format of a group image: the chunked
+// wire format ACG transfers ship (MethodReceiveACGChunked), the buffer a
+// local split installs, and the bytes writeCheckpointLocked stores in
+// shared storage. The image is a flat sequence of self-framed records, so
+// a sender can emit it in bounded batches and a receiver can apply it
+// incrementally from arbitrary chunk boundaries — a multi-GB group never
+// exists as one contiguous buffer on either side.
 //
 // Layout:
 //
@@ -25,18 +24,13 @@ import (
 //	record  := type(1B) uvarint(bodyLen) body
 //
 // Record types (unknown types are an error — the image is written and read
-// by the same codebase; version drift is handled by the magic byte):
+// by the same codebase):
 //
 //	recHeader  acg, epoch, flags(bit0=follower), replSeq   (uvarints)
 //	recFiles   count, then delta-coded sorted file ids
 //	recEdges   count, then (src, dst, weight) uvarint triples
 //	recIndex   index spec; subsequent recEntries belong to it
 //	recEntries count, then proto.IndexEntry wire encodings
-//	recWAL     raw framed WAL bytes (appended across records)
-//
-// gob's wire format length-prefixes every message with either a single
-// byte < 0x80 or a 0xF8..0xFF multi-byte marker, so 0xA7 can never open a
-// gob stream — the magic byte is an unambiguous format discriminator.
 const (
 	imageMagic = 0xA7
 
@@ -45,7 +39,6 @@ const (
 	recEdges   = 3
 	recIndex   = 4
 	recEntries = 5
-	recWAL     = 6
 
 	// imageBatchTarget is the flush threshold for the writer's record
 	// buffer: emit() sees batches of roughly this size (a record can
@@ -57,15 +50,6 @@ const (
 )
 
 var errImageTruncated = errors.New("indexnode: truncated group image")
-
-// imageHeader carries the non-payload fields of a group image — what the
-// gob format kept in ReceiveACGReq next to the data slices.
-type imageHeader struct {
-	acg      proto.ACGID
-	epoch    proto.Epoch
-	follower bool
-	replSeq  uint64
-}
 
 // imageWriter batches records and hands them to emit in ~imageBatchTarget
 // slices. The slice passed to emit is reused; emit must not retain it.
@@ -112,22 +96,21 @@ func appendImageSpec(dst []byte, spec proto.IndexSpec) []byte {
 // streamImageLocked serializes the group's durable state — membership,
 // causality edges, committed postings per index — as a record stream,
 // keeping only files accepted by filter (nil = all), delivered through
-// emit in bounded batches. The record-stream twin of imageLocked; callers
-// that need one contiguous buffer use imageBytesLocked. Caller holds g.mu
-// and must have committed the group if the image is meant to include every
-// acknowledged entry.
-func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr imageHeader, emit func([]byte) error) error {
+// emit in bounded batches; callers that need one contiguous buffer use
+// imageBytesLocked. Caller holds g.mu and must have committed the group if
+// the image is meant to include every acknowledged entry.
+func (n *Node) streamImageLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGStreamMeta, emit func([]byte) error) error {
 	w := &imageWriter{emit: emit}
 	var scratch []byte
 
-	scratch = binary.AppendUvarint(scratch, uint64(hdr.acg))
-	scratch = binary.AppendUvarint(scratch, uint64(hdr.epoch))
+	scratch = binary.AppendUvarint(scratch, uint64(hdr.ACG))
+	scratch = binary.AppendUvarint(scratch, uint64(hdr.Epoch))
 	var flags byte
-	if hdr.follower {
+	if hdr.Follower {
 		flags |= 1
 	}
 	scratch = append(scratch, flags)
-	scratch = binary.AppendUvarint(scratch, hdr.replSeq)
+	scratch = binary.AppendUvarint(scratch, hdr.ReplSeq)
 	// The magic byte rides in front of the first batch.
 	w.buf = append(w.buf, imageMagic)
 	if err := w.record(recHeader, scratch); err != nil {
@@ -235,10 +218,11 @@ func flushEdges(w *imageWriter, scratch *[]byte, body []byte, count int) error {
 }
 
 // imageBytesLocked renders the record-stream image into one buffer — the
-// shared-storage checkpoint form. Caller holds g.mu.
-func (n *Node) imageBytesLocked(g *group, hdr imageHeader) ([]byte, error) {
+// shared-storage checkpoint form, and what a split to this node installs.
+// Caller holds g.mu.
+func (n *Node) imageBytesLocked(g *group, filter func(index.FileID) bool, hdr proto.ReceiveACGStreamMeta) ([]byte, error) {
 	var out []byte
-	err := n.streamImageLocked(g, nil, hdr, func(b []byte) error {
+	err := n.streamImageLocked(g, filter, hdr, func(b []byte) error {
 		out = append(out, b...)
 		return nil
 	})
@@ -248,7 +232,7 @@ func (n *Node) imageBytesLocked(g *group, hdr imageHeader) ([]byte, error) {
 // imageApplier applies a record-stream image to a locked group, fed one
 // chunk at a time with no alignment between chunk and record boundaries.
 // Records apply as soon as they complete, so the applier's footprint is
-// one partial record plus accumulated WAL bytes — never the whole image.
+// one partial record — never the whole image.
 // Caller holds g.mu across every feed and the finish.
 type imageApplier struct {
 	n     *Node
@@ -257,15 +241,14 @@ type imageApplier struct {
 
 	buf      []byte // partial record carried across chunks
 	sawMagic bool
-	hdr      imageHeader
+	hdr      proto.ReceiveACGStreamMeta
 
 	curName  string
 	curInst  *inst
 	haveSpec bool
 	// touched collects KD instances that received entries: their disk
-	// images re-serialize once at finish, mirroring installImageLocked.
+	// images re-serialize once at finish.
 	touched map[string]*inst
-	walBuf  []byte
 }
 
 func newImageApplier(n *Node, g *group, known map[string]map[index.FileID]bool) *imageApplier {
@@ -339,8 +322,6 @@ func (a *imageApplier) applyOne(b []byte) (rest []byte, done bool, err error) {
 		err = a.applyIndex(body)
 	case recEntries:
 		err = a.applyEntries(body)
-	case recWAL:
-		a.walBuf = append(a.walBuf, body...)
 	default:
 		err = fmt.Errorf("indexnode: group image: unknown record type %d", typ)
 	}
@@ -380,9 +361,9 @@ func (a *imageApplier) applyHeader(b []byte) error {
 	if err != nil {
 		return err
 	}
-	a.hdr = imageHeader{
-		acg: proto.ACGID(acg), epoch: proto.Epoch(epoch),
-		follower: flags&1 != 0, replSeq: seq,
+	a.hdr = proto.ReceiveACGStreamMeta{
+		ACG: proto.ACGID(acg), Epoch: proto.Epoch(epoch),
+		Follower: flags&1 != 0, ReplSeq: seq,
 	}
 	return nil
 }
@@ -498,15 +479,11 @@ func (a *imageApplier) applyEntries(b []byte) error {
 	return a.n.applyRunLocked(a.g, a.curInst, a.curName, run)
 }
 
-// finish completes the install: rejects a torn stream, re-serializes the
-// KD images entries landed in, and replays any shipped WAL into the lazy
-// cache. Returns the number of WAL entries restored.
-func (a *imageApplier) finish() (int, error) {
-	if !a.sawMagic {
-		return 0, errImageTruncated
-	}
-	if len(a.buf) > 0 {
-		return 0, errImageTruncated
+// finish completes the install: rejects a torn stream and re-serializes
+// the KD images entries landed in.
+func (a *imageApplier) finish() error {
+	if !a.sawMagic || len(a.buf) > 0 {
+		return errImageTruncated
 	}
 	for _, in := range a.touched {
 		if in.kd != nil {
@@ -514,31 +491,19 @@ func (a *imageApplier) finish() (int, error) {
 			in.kdResident = true
 		}
 	}
-	if len(a.walBuf) == 0 {
-		return 0, nil
-	}
-	return a.n.replayWALLocked(a.g, a.walBuf, a.known)
+	return nil
 }
 
-// installImageBytesLocked applies a stored group image — record-stream or
-// legacy gob, discriminated by the magic byte — to a locked group,
+// installImageBytesLocked applies a stored group image to a locked group,
 // skipping (index, file) pairs in known. The recovery and promotion read
 // path. Caller holds g.mu.
 func (n *Node) installImageBytesLocked(g *group, raw []byte, known map[string]map[index.FileID]bool) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	if raw[0] != imageMagic {
-		img, err := decodeGroupImage(raw)
-		if err != nil {
-			return err
-		}
-		return n.installImageLocked(g, img, known)
-	}
 	a := newImageApplier(n, g, known)
 	if err := a.feed(raw); err != nil {
 		return err
 	}
-	_, err := a.finish()
-	return err
+	return a.finish()
 }

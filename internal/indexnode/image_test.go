@@ -57,7 +57,7 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, imageHeader{acg: 1, replSeq: g.replSeq})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1, ReplSeq: g.replSeq})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +81,13 @@ func TestImageRecordStreamRoundTrip(t *testing.T) {
 			t.Fatalf("feed at offset %d: %v", off, err)
 		}
 	}
-	if _, err := a.finish(); err != nil {
+	if err := a.finish(); err != nil {
 		dst.mu.Unlock()
 		t.Fatal(err)
 	}
-	if got := a.hdr; got.acg != 1 {
+	if got := a.hdr; got.ACG != 1 {
 		dst.mu.Unlock()
-		t.Fatalf("applied header acg = %d, want 1", got.acg)
+		t.Fatalf("applied header acg = %d, want 1", got.ACG)
 	}
 	if w := dst.graph.adj[0][1]; w != 7 {
 		dst.mu.Unlock()
@@ -122,7 +122,7 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, imageHeader{acg: 1})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -137,41 +137,8 @@ func TestImageApplierRejectsTornStream(t *testing.T) {
 	if err := a.feed(raw[:len(raw)-3]); err != nil {
 		t.Fatalf("feeding a clean prefix should buffer, got %v", err)
 	}
-	if _, err := a.finish(); !errors.Is(err, errImageTruncated) {
+	if err := a.finish(); !errors.Is(err, errImageTruncated) {
 		t.Fatalf("finish on torn stream = %v, want errImageTruncated", err)
-	}
-}
-
-// TestLegacyGobImageStillInstalls writes a gob-format checkpoint (what
-// older builds stored) into the shared store and recovers from it: the
-// magic-byte fallback keeps mixed-version clusters recoverable.
-func TestLegacyGobImageStillInstalls(t *testing.T) {
-	r := newTransferRig(t)
-	ctx := context.Background()
-	seedMixedGroup(t, r.a, 1, 20)
-
-	g := r.a.lockGroup(1)
-	if err := r.a.commitGroupLocked(g); err != nil {
-		g.mu.Unlock()
-		t.Fatal(err)
-	}
-	legacy, err := encodeGroupImage(r.a.imageLocked(g, nil))
-	g.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.shared.Checkpoint(1, legacy)
-
-	r.b.DeclareIndex(proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"})
-	if err := r.b.RecoverFromShared(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := r.b.Search(ctx, proto.SearchReq{ACGs: []proto.ACGID{1}, IndexName: "size", Query: "size>=0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Files) != 20 {
-		t.Fatalf("recovered from gob image = %d files, want 20", len(resp.Files))
 	}
 }
 
@@ -207,7 +174,7 @@ func TestStreamedTransferReceiverMemoryBounded(t *testing.T) {
 		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	raw, err := r.a.imageBytesLocked(g, imageHeader{acg: 1})
+	raw, err := r.a.imageBytesLocked(g, nil, proto.ReceiveACGStreamMeta{ACG: 1})
 	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -125,9 +125,16 @@ func (n *Node) followerAppend(ctx context.Context, rep proto.ReplicaRef, id prot
 // same two steps the primary's own ack performs. Sequence numbers keep the
 // stream contiguous — a duplicate (re-sent frame) is acknowledged as a
 // no-op, a gap is refused so the primary cuts this follower and the Master
-// re-seeds it rather than let it silently diverge.
+// re-seeds it rather than let it silently diverge. A frame that does not
+// decode is refused before it touches the log or the stream position: an
+// acknowledged append must mean an applied one.
 func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) (proto.FollowerAppendResp, error) {
 	n.noteEpoch(req.Epoch)
+	reqs, err := decodeWAL(req.Frames)
+	if err != nil {
+		return proto.FollowerAppendResp{}, fmt.Errorf(
+			"indexnode %s follower append acg %d seq %d: %w", n.cfg.ID, req.ACG, req.Seq, err)
+	}
 	g := n.lockGroup(req.ACG)
 	if g == nil {
 		if ep, gone := n.releasedEpoch(req.ACG); gone {
@@ -158,9 +165,7 @@ func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) 
 	if err := g.log.AppendFramed(req.Frames); err != nil {
 		return proto.FollowerAppendResp{}, fmt.Errorf("indexnode follower append: %w", err)
 	}
-	if _, err := n.replayWALLocked(g, req.Frames, nil); err != nil {
-		return proto.FollowerAppendResp{}, fmt.Errorf("indexnode follower append: %w", err)
-	}
+	n.applyWALLocked(g, reqs, nil)
 	g.replSeq = req.Seq
 	// A streamed frame may name an index this follower never served;
 	// resolve the spec now so the follower's own commits (Tick, Lazy reads
@@ -175,8 +180,8 @@ func (n *Node) FollowerAppend(ctx context.Context, req proto.FollowerAppendReq) 
 }
 
 // ReplicateACG executes one Master replicate order: commit the group, ship
-// its image to the destination as a follower copy (the same ReceiveACG
-// machinery migrations use, with the Follower flag set), report the
+// its image to the destination as a follower copy (the same chunked
+// transfer migrations use, with the Follower flag set), report the
 // seeding, and add the destination to the streaming ack set. The whole
 // sequence holds the group lock, so no acknowledged frame can slip between
 // the image and the start of the stream. Duplicate orders (the Master

@@ -1,6 +1,7 @@
 package indexnode
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -12,6 +13,12 @@ import (
 	"propeller/internal/proto"
 	"propeller/internal/wal"
 )
+
+// walFrame renders an update as the framed WAL record a primary logs,
+// mirrors and streams to its followers.
+func walFrame(req proto.UpdateReq) []byte {
+	return wal.FrameRecord(req.MarshalWire(nil))
+}
 
 // seedFollower makes node b a streaming follower of a's group: the same
 // ReplicateACG order the Master's heartbeat reply would carry.
@@ -110,15 +117,11 @@ func TestFollowerRejectsDirectTrafficTyped(t *testing.T) {
 	if err := r.b.PromoteACG(ctx, proto.PromoteOrder{ACG: 1, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := encodeWALRecord(proto.UpdateReq{
-		ACG: 1, IndexName: "size",
-		Entries: []proto.IndexEntry{{File: 100, Value: attr.Int(100)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{
-		ACG: 1, Frames: wal.FrameRecord(rec), Seq: 6,
+		ACG: 1, Frames: walFrame(proto.UpdateReq{
+			ACG: 1, IndexName: "size",
+			Entries: []proto.IndexEntry{{File: 100, Value: attr.Int(100)}},
+		}), Seq: 6,
 	}); !errors.Is(err, perr.ErrStalePlacement) {
 		t.Errorf("stale primary's append = %v, want ErrStalePlacement", err)
 	}
@@ -130,14 +133,10 @@ func TestFollowerAppendDuplicateAndGap(t *testing.T) {
 	seedTransferGroup(t, r.a, 1, 5) // primary at stream position 5
 	seedFollower(t, r, 1)
 
-	rec, err := encodeWALRecord(proto.UpdateReq{
+	framed := walFrame(proto.UpdateReq{
 		ACG: 1, IndexName: "size",
 		Entries: []proto.IndexEntry{{File: 50, Value: attr.Int(50)}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed := wal.FrameRecord(rec)
 
 	// A duplicate (already-applied position) is acknowledged as a no-op.
 	resp, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{ACG: 1, Frames: framed, Seq: 5})
@@ -250,5 +249,59 @@ func TestFollowerNeverWritesSharedMirror(t *testing.T) {
 	}
 	if r.shared.WALRecords(1) != walNow {
 		t.Errorf("follower commit moved the shared WAL (%d → %d records)", walNow, r.shared.WALRecords(1))
+	}
+}
+
+// TestUndecodableWALRecordRefused: a WAL record whose CRC is intact but
+// whose bytes are not an UpdateReq is a fault, not a torn tail. A follower
+// must refuse it without logging it or advancing its stream position (an
+// acked append must be an applied one), and recovery must report it
+// instead of silently dropping it and every acknowledged record after it.
+func TestUndecodableWALRecordRefused(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	seedTransferGroup(t, r.a, 1, 5) // primary at stream position 5
+	seedFollower(t, r, 1)
+
+	bad := wal.FrameRecord([]byte("not an update record"))
+	before, err := r.b.WALImage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{ACG: 1, Frames: bad, Seq: 6}); !errors.Is(err, proto.ErrWire) {
+		t.Fatalf("undecodable append = %v, want an error wrapping proto.ErrWire", err)
+	}
+	after, err := r.b.WALImage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("refused frame changed the follower log (%d -> %d bytes)", len(before), len(after))
+	}
+	g := r.b.lockGroup(1)
+	seq := g.replSeq
+	g.mu.Unlock()
+	if seq != 5 {
+		t.Errorf("refused frame moved the stream position to %d, want 5", seq)
+	}
+	// The stream resumes at the same position with a good frame.
+	good := walFrame(proto.UpdateReq{
+		ACG: 1, IndexName: "size",
+		Entries: []proto.IndexEntry{{File: 60, Value: attr.Int(60)}},
+	})
+	if resp, err := r.b.FollowerAppend(ctx, proto.FollowerAppendReq{ACG: 1, Frames: good, Seq: 6}); err != nil || resp.Seq != 6 {
+		t.Fatalf("good append after refusal = (%d, %v), want (6, nil)", resp.Seq, err)
+	}
+
+	// Recovery over a log whose second record does not decode: an error,
+	// distinct from the tolerated torn tail.
+	img := append(append(append([]byte(nil), good...), bad...), good...)
+	if _, err := r.b.RecoverGroup(9, img); !errors.Is(err, proto.ErrWire) || errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("RecoverGroup over an undecodable record = %v, want proto.ErrWire and not wal.ErrCorrupt", err)
+	}
+	// A torn tail after intact records still recovers the intact prefix.
+	n, err := r.b.RecoverGroup(10, append(append([]byte(nil), good...), bad[:len(bad)-2]...))
+	if err != nil || n != 1 {
+		t.Fatalf("RecoverGroup over a torn tail = (%d, %v), want (1, nil)", n, err)
 	}
 }

@@ -3,6 +3,8 @@ package indexnode
 import (
 	"context"
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 
 	"propeller/internal/attr"
@@ -348,5 +350,128 @@ func TestSplitFencesMovedFiles(t *testing.T) {
 		Entries: []proto.IndexEntry{{File: keep, Value: attr.Int(1234)}},
 	}); err != nil {
 		t.Fatalf("update for retained file = %v, want nil", err)
+	}
+}
+
+// TestSplitToSelfInstallsLocally drives the split whose destination is
+// the splitting node itself (the Master's least-loaded pick): the moved
+// half must install here as the new group — files, causality edges and
+// B-tree, hash and KD postings, with the stream position carried over —
+// while the source group fences the moved files.
+func TestSplitToSelfInstallsLocally(t *testing.T) {
+	r := newTransferRig(t)
+	ctx := context.Background()
+	// The nodes create their groups locally and the Master adopts them by
+	// heartbeat; ids above the Master's next fresh id keep the split's new
+	// group distinct from both.
+	const src proto.ACGID = 5
+	r.a.DeclareIndex(proto.IndexSpec{Name: "size", Type: proto.IndexBTree, Field: "size"})
+	r.a.DeclareIndex(proto.IndexSpec{Name: "tag", Type: proto.IndexHash, Field: "tag"})
+	r.a.DeclareIndex(proto.IndexSpec{Name: "loc", Type: proto.IndexKD, Fields: []string{"x", "y"}})
+	// Two dense causal clusters joined by one light edge, as in
+	// TestSplitFencesMovedFiles.
+	for c := 0; c < 2; c++ {
+		base := index.FileID(c * 10)
+		for i := index.FileID(0); i < 10; i++ {
+			f := base + i
+			for _, req := range []proto.UpdateReq{
+				{ACG: src, IndexName: "size", Entries: []proto.IndexEntry{{File: f, Value: attr.Int(int64(f) + 1)}}},
+				{ACG: src, IndexName: "tag", Entries: []proto.IndexEntry{{File: f, Value: attr.Str("all")}}},
+				{ACG: src, IndexName: "loc", Entries: []proto.IndexEntry{{File: f, KDCoords: []float64{float64(f), -float64(f)}}}},
+			} {
+				if _, err := r.a.Update(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := r.a.FlushACG(ctx, proto.FlushACGReq{ACG: src, Edges: []proto.ACGEdge{
+				{Src: f, Dst: base + (i+1)%10, Weight: 100},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := r.a.FlushACG(ctx, proto.FlushACGReq{ACG: src, Edges: []proto.ACGEdge{{Src: 0, Dst: 10, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	// Node b reports more files than a, so the Master places the new group
+	// on a itself.
+	seedTransferGroup(t, r.b, src+1, 40)
+	for _, n := range []*Node{r.a, r.b} {
+		if err := n.Heartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := r.a.lockGroup(src)
+	seq := g.replSeq
+	edges := make(map[[2]index.FileID]int64)
+	for from, m := range g.graph.adj {
+		for to, w := range m {
+			edges[[2]index.FileID{from, to}] = w
+		}
+	}
+	g.mu.Unlock()
+
+	split, err := r.a.SplitACG(ctx, proto.SplitACGReq{ACG: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split.Moved == 0 || split.Moved == 20 {
+		t.Fatalf("split moved %d of 20 files, want a proper half", split.Moved)
+	}
+	if g := r.b.lockGroup(split.NewACG); g != nil {
+		g.mu.Unlock()
+		t.Fatalf("new group %d landed on b, want the splitting node", split.NewACG)
+	}
+	ng := r.a.lockGroup(split.NewACG)
+	if ng == nil {
+		t.Fatalf("new group %d missing on the splitting node", split.NewACG)
+	}
+	moved := make([]index.FileID, 0, len(ng.files))
+	for f := range ng.files {
+		moved = append(moved, f)
+	}
+	sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
+	gotSeq := ng.replSeq
+	movedEdges := 0
+	for e, w := range edges {
+		if !ng.files[e[0]] || !ng.files[e[1]] {
+			continue
+		}
+		movedEdges++
+		if got := ng.graph.adj[e[0]][e[1]]; got != w {
+			t.Errorf("edge %d->%d on new group = %d, want %d", e[0], e[1], got, w)
+		}
+	}
+	ng.mu.Unlock()
+	if len(moved) != split.Moved {
+		t.Fatalf("new group holds %d files, split reported %d", len(moved), split.Moved)
+	}
+	if gotSeq != seq {
+		t.Errorf("new group replSeq = %d, want the source's %d", gotSeq, seq)
+	}
+	if movedEdges == 0 {
+		t.Error("no causality edge moved with the half")
+	}
+
+	for _, q := range []proto.SearchReq{
+		{IndexName: "size", Query: "size>0"},
+		{IndexName: "tag", Query: "tag:all"},
+		{IndexName: "loc", Query: "x>=0 & x<=100 & y<=0"},
+	} {
+		q.ACGs = []proto.ACGID{split.NewACG}
+		resp, err := r.a.Search(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(resp.Files, moved) {
+			t.Errorf("%s search on new group = %v, want %v", q.IndexName, resp.Files, moved)
+		}
+	}
+
+	if _, err := r.a.Update(ctx, proto.UpdateReq{
+		ACG: src, IndexName: "size",
+		Entries: []proto.IndexEntry{{File: moved[0], Value: attr.Int(999)}},
+	}); !errors.Is(err, perr.ErrStalePlacement) {
+		t.Fatalf("stale update for split-away file = %v, want ErrStalePlacement", err)
 	}
 }

@@ -2,9 +2,9 @@
 // the data plane sends millions of times — updates, searches, follower
 // appends — implements rpc's MarshalWire/UnmarshalWire pair here, so the
 // transport picks the binary form automatically; the cold control plane
-// (registration, heartbeats, placement) stays on gob and nothing breaks if
-// one side has not learned a message's binary form yet (the rpc codec byte
-// keeps both decodable on one connection).
+// (registration, heartbeats, placement) stays on gob. A message with a
+// binary form has no other: rpc refuses a gob body for it, and the Index
+// Node logs, mirrors and replays each UpdateReq as its MarshalWire bytes.
 //
 // Layout conventions: each message starts with a version byte (wireV1);
 // unsigned integers are uvarints, signed ones zigzag varints; strings and
@@ -30,9 +30,8 @@ import (
 )
 
 // wireV1 versions each message's binary layout. A decoder seeing a newer
-// version refuses (the sender should have fallen back to gob for a peer
-// this old); trailing bytes after the known fields are ignored so future
-// appended fields stay compatible.
+// version refuses; trailing bytes after the known fields are ignored so
+// future appended fields stay compatible.
 const wireV1 = 1
 
 // ErrWire reports a binary message that does not parse.

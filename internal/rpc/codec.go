@@ -152,12 +152,11 @@ func getPrefixed(b []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
-// Body codec tags. Every typed body begins with one codec byte so both
-// encodings coexist on one connection: hot messages that implement the
-// WireMarshaler/WireUnmarshaler pair travel hand-rolled binary, everything
-// else — the cold control plane — stays gob. A decoder that has not learned
-// a message's binary form still reads its gob form, which is what keeps
-// mixed-version conns working while messages migrate codec one at a time.
+// Body codec tags. Every typed body begins with one codec byte naming its
+// encoding: hot messages that implement the WireMarshaler/WireUnmarshaler
+// pair travel hand-rolled binary, everything else — the cold control
+// plane — stays gob. Each message type has exactly one encoding; a body
+// tagged with the other one is malformed.
 const (
 	codecGob    byte = 0x01
 	codecBinary byte = 0x02
@@ -212,14 +211,17 @@ func decodeBody(data []byte, v any) error {
 	if len(data) == 0 {
 		return fmt.Errorf("rpc: empty typed body: %w", errMalformedFrame)
 	}
+	u, wire := v.(WireUnmarshaler)
 	switch data[0] {
 	case codecBinary:
-		u, ok := v.(WireUnmarshaler)
-		if !ok {
-			return fmt.Errorf("rpc: binary-coded body for %T, which has no UnmarshalWire", v)
+		if !wire {
+			return fmt.Errorf("rpc: binary-coded body for %T, which has no UnmarshalWire: %w", v, errMalformedFrame)
 		}
 		return u.UnmarshalWire(data[1:])
 	case codecGob:
+		if wire {
+			return fmt.Errorf("rpc: gob-coded body for %T, which is binary-only: %w", v, errMalformedFrame)
+		}
 		r := gobRdrPool.Get().(*bytes.Reader)
 		r.Reset(data[1:])
 		err := gob.NewDecoder(r).Decode(v)

@@ -746,9 +746,8 @@ func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, 
 
 // Call performs a typed request/response exchange: messages implementing
 // the wire codec (MarshalWire/UnmarshalWire) travel hand-rolled binary,
-// anything else gob — the codec byte in the body keeps both decodable on
-// the same connection. The context's deadline travels with the request and
-// its cancellation abandons the call.
+// anything else gob (see encodeBody). The context's deadline travels with
+// the request and its cancellation abandons the call.
 func Call[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var resp Resp
 	body, err := encodeBody(&req)

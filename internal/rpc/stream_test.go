@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"propeller/internal/perr"
+	"propeller/internal/proto"
 )
 
 // sumMeta / sumResp exercise the gob side of the stream codec (no
@@ -391,8 +393,10 @@ func TestStreamWindowOverrunTearsConn(t *testing.T) {
 }
 
 // TestStreamGobFallbackMeta round-trips stream metadata that lacks a
-// binary codec, confirming the codec negotiation byte covers stream opens
-// too.
+// binary codec, confirming the codec byte covers stream opens too, and
+// checks each type decodes only its own encoding: a gob body still decodes
+// into a control-plane type, but a gob body for a binary-only message is
+// malformed.
 func TestStreamGobFallbackMeta(t *testing.T) {
 	srv := NewServer()
 	HandleStreamTyped(srv, "t.meta", func(ctx context.Context, meta sumMeta, st *ServerStream) (sumResp, error) {
@@ -420,6 +424,23 @@ func TestStreamGobFallbackMeta(t *testing.T) {
 	}
 	if resp.SHA256 != "gob-travels" {
 		t.Fatalf("meta round-trip: got %q", resp.SHA256)
+	}
+
+	gobBody := func(v any) []byte {
+		var buf bytes.Buffer
+		buf.WriteByte(codecGob)
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var hb proto.HeartbeatReq
+	if err := decodeBody(gobBody(&proto.HeartbeatReq{Node: "in-00"}), &hb); err != nil || hb.Node != "in-00" {
+		t.Fatalf("gob body into control-plane type = (%+v, %v), want it decoded", hb, err)
+	}
+	var upd proto.UpdateReq
+	if err := decodeBody(gobBody(&proto.UpdateReq{ACG: 1, IndexName: "size"}), &upd); !errors.Is(err, errMalformedFrame) {
+		t.Fatalf("gob body into binary-only UpdateReq = %v, want errMalformedFrame", err)
 	}
 }
 
